@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.lint.analysis.symbols import (
     ClassInfo,
     FunctionInfo,
+    FunctionNode,
     ModuleTable,
     Program,
 )
@@ -138,10 +139,10 @@ def _is_root(info: FunctionInfo) -> bool:
     return False
 
 
-def _local_names(node: ast.AST) -> set[str]:
+def _local_names(src: "SourceFile", node: FunctionNode) -> set[str]:
     """Every name bound anywhere inside ``node`` (flow-insensitive)."""
     out: set[str] = set()
-    for sub in ast.walk(node):
+    for sub in (node, *src.walk(node)):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del)):
             out.add(sub.id)
         elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -157,10 +158,6 @@ def _local_names(node: ast.AST) -> set[str]:
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
             for alias in sub.names:
                 out.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(sub, ast.comprehension):
-            for name in ast.walk(sub.target):
-                if isinstance(name, ast.Name):
-                    out.add(name.id)
     return out
 
 
@@ -178,15 +175,15 @@ class _SummaryBuilder:
 
     def build(self, info: FunctionInfo) -> FunctionSummary:
         summary = FunctionSummary(info)
-        locals_ = _local_names(info.node)
+        src = info.module.source
+        locals_ = _local_names(src, info.node)
         if info.cls is not None:
             locals_.add("self")
         globals_declared: set[str] = set()
-        # Walk the *body* only: decorator expressions and annotations on
-        # the def itself run at import time, not when the function does.
-        body_nodes = [
-            node for stmt in info.node.body for node in ast.walk(stmt)
-        ]
+        # The scope index holds the *body* only: decorator expressions and
+        # annotations on the def itself run at import time, not when the
+        # function does.
+        body_nodes = list(src.walk(info.node))
         # Callee expressions are reported through _scan_call; scanning them
         # again as bare loads would double-report e.g. ``os.getenv(...)``.
         call_funcs = {

@@ -98,8 +98,8 @@ class ClassInfo:
 class ModuleTable:
     """Everything one module binds, for name resolution."""
 
-    path: str
-    tree: ast.AST
+    #: The parsed file, whose node index analyses read.
+    source: "SourceFile"
     dotted: Optional[str]
     #: local alias -> absolute dotted target.  ``from a.b import f as g``
     #: yields ``g -> a.b.f``; ``import a.b.c as m`` yields ``m -> a.b.c``;
@@ -112,6 +112,15 @@ class ModuleTable:
     #: Subset of ``module_names`` bound to a mutable container literal or
     #: constructor (list/dict/set), i.e. mutable module-global state.
     mutable_globals: set[str] = field(default_factory=set)
+
+    @property
+    def path(self) -> str:
+        return self.source.path
+
+    @property
+    def tree(self) -> ast.AST:
+        assert self.source.tree is not None
+        return self.source.tree
 
     def all_functions(self) -> list[FunctionInfo]:
         out = list(self.functions.values())
@@ -136,7 +145,7 @@ def _collect_imports(table: ModuleTable) -> None:
     those too.  A rebound alias keeps the *first* binding: good enough
     for this codebase, where aliases are never reused for two targets.
     """
-    for node in ast.walk(table.tree):
+    for node in table.source.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
@@ -152,10 +161,10 @@ def _collect_imports(table: ModuleTable) -> None:
                 table.imports.setdefault(local, f"{node.module}.{alias.name}")
 
 
-def _build_table(path: str, tree: ast.AST) -> ModuleTable:
-    table = ModuleTable(path=path, tree=tree, dotted=module_dotted_name(path))
+def _build_table(src: "SourceFile") -> ModuleTable:
+    table = ModuleTable(source=src, dotted=module_dotted_name(src.path))
     _collect_imports(table)
-    body = tree.body if isinstance(tree, ast.Module) else []
+    body = src.tree.body if isinstance(src.tree, ast.Module) else []
     for stmt in body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             table.functions[stmt.name] = FunctionInfo(table, stmt.name, stmt)
@@ -291,7 +300,7 @@ def build_program(files: Sequence["SourceFile"]) -> Program:
     for src in files:
         if src.tree is None:
             continue
-        table = _build_table(src.path, src.tree)
+        table = _build_table(src)
         program.modules[src.path] = table
         if table.dotted is not None:
             # First table wins on dotted-name collisions (virtual fixture

@@ -262,7 +262,7 @@ class UnitWorld:
                 )
         for method in cls.methods.values():
             sig = self.signatures.get(id(method))
-            for node in ast.walk(method.node):
+            for node in cls.module.source.walk(method.node):
                 target: Optional[ast.expr] = None
                 annotation: Optional[ast.expr] = None
                 value: Optional[ast.expr] = None

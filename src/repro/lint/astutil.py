@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "call_name",
     "dotted_name",
     "keyword_value",
-    "scopes",
     "str_const",
 ]
 
@@ -44,16 +43,3 @@ def str_const(node: Optional[ast.expr]) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-def scopes(tree: ast.AST) -> Iterator[tuple[ast.AST, list[ast.stmt]]]:
-    """Yield ``(scope_node, body)`` for the module and each function/class.
-
-    Used by rules that track simple per-scope name bindings (D003's set
-    inference) without building a full symbol table.
-    """
-    if isinstance(tree, (ast.Module, ast.Interactive)):
-        yield tree, list(tree.body)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node, list(node.body)

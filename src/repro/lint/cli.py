@@ -11,7 +11,7 @@ Usage::
     python -m repro.lint src --write-baseline lint-baseline.json
     python -m repro.lint --list-rules
     python -m repro.lint --explain I001       # rationale + examples
-    python -m repro.lint src --stats          # per-rule wall time
+    python -m repro.lint src --stats          # per-phase and per-rule wall time
 
 Exit status: 0 clean, 1 findings, 2 usage error.  Inline suppressions
 use ``# simlint: disable=CODE`` (``CODE(reason)`` where a justification
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import repro.lint.rules  # noqa: F401  (register every rule)
 from repro.lint.baseline import Baseline
-from repro.lint.engine import lint_paths
+from repro.lint.engine import PHASES, lint_paths
 from repro.lint.registry import RULES, resolve_codes
 from repro.lint.sarif import to_sarif
 
@@ -68,15 +68,15 @@ def _explain_rule(code: str) -> "str | None":
 
 
 def _format_stats(timings: "dict[str, float]") -> str:
-    lines = ["per-rule wall time:"]
-    total = sum(timings.values())
-    for code, seconds in sorted(timings.items(), key=lambda kv: -kv[1]):
-        lines.append(f"  {code}  {seconds * 1000.0:8.1f} ms")
-    lines.append(f"  all  {total * 1000.0:8.1f} ms")
-    lines.append(
-        "  (a project rule that triggers a shared analysis build pays "
-        "for it; later rules reuse the cache)"
-    )
+    lines = ["per-phase wall time:"]
+    for phase in PHASES:
+        if phase in timings:
+            lines.append(f"  {phase:<9}  {timings[phase] * 1000.0:8.1f} ms")
+    lines.append("per-rule wall time:")
+    rules = {code: s for code, s in timings.items() if code not in PHASES}
+    for code, seconds in sorted(rules.items(), key=lambda kv: -kv[1]):
+        lines.append(f"  {code:<9}  {seconds * 1000.0:8.1f} ms")
+    lines.append(f"  {'all':<9}  {sum(timings.values()) * 1000.0:8.1f} ms")
     return "\n".join(lines)
 
 
@@ -153,7 +153,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="report per-rule wall time after linting (text format only)",
+        help="report per-phase and per-rule wall time after linting "
+        "(text format only)",
     )
     args = parser.parse_args(argv)
 

@@ -1,12 +1,12 @@
 """The simlint engine: parse, dispatch rules, apply suppressions.
 
 The engine owns everything rule-agnostic: walking paths to ``.py``
-files, parsing each into a :class:`SourceFile` (AST + raw text +
-suppression index), running per-file and project rules, and filtering
-findings through the inline-suppression index and the optional
-baseline.  Rules never see the suppression machinery — they report
-everything, and the engine decides what the developer has justified
-away.
+files, parsing each into a :class:`SourceFile` (AST + raw text + node
+and scope index + suppression index), running per-file and project
+rules, and filtering findings through the inline-suppression index and
+the optional baseline.  Rules never see the suppression machinery —
+they report everything, and the engine decides what the developer has
+justified away.
 
 Project rules share one :class:`LintContext` per run: the whole-program
 analyses (symbol tables, unit events, purity reachability) are built
@@ -28,7 +28,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from repro.lint.findings import Finding
 from repro.lint.registry import RULES, Rule
@@ -66,30 +66,91 @@ SKIP_DIRS = {
 }
 
 
+#: Node types that open a scope in :class:`SourceFile`'s scope index.
+SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_SCOPE_SET = frozenset(SCOPE_TYPES)
+
+
+def _index_tree(
+    tree: ast.AST,
+) -> tuple[list[ast.AST], dict[ast.AST, list[ast.AST]]]:
+    """One breadth-first pass over ``tree``: its nodes and its scope index.
+
+    Nodes come out in :func:`ast.walk` order (callers that keep the first
+    of several bindings depend on it).  A ``def``/``class`` owns the nodes
+    of its body; its decorators, defaults, annotations and bases belong
+    to the enclosing scope, where Python evaluates them.
+    """
+    nodes: list[ast.AST] = [tree]
+    owners: list[ast.AST] = [tree]  # owners[i] is the scope owning nodes[i]
+    scopes: dict[ast.AST, list[ast.AST]] = {tree: []}
+    add_node, add_owner = nodes.append, owners.append
+    # Both lists grow as we go, which makes the loop breadth-first.
+    for node, owner in zip(nodes, owners):
+        body_owner = owner
+        if type(node) in _SCOPE_SET:
+            body_owner = node
+            scopes[node] = []
+        for name in node._fields:
+            value = getattr(node, name, None)
+            child_owner = body_owner if name == "body" else owner
+            if type(value) is list:
+                owned = scopes[child_owner]
+                for child in value:
+                    if isinstance(child, ast.AST):
+                        add_node(child)
+                        add_owner(child_owner)
+                        owned.append(child)
+            elif isinstance(value, ast.AST):
+                add_node(value)
+                add_owner(child_owner)
+                scopes[child_owner].append(value)
+    return nodes, scopes
+
+
 @dataclass
 class SourceFile:
-    """One parsed module: path, text, AST and its suppression index."""
+    """One parsed module: path, text, AST, node index and suppressions.
+
+    The file owns AST traversal: :attr:`nodes` and :attr:`scopes` are
+    built in one pass at parse time, and rules and analyses read them
+    instead of calling :func:`ast.walk` again.
+    """
 
     path: str
     text: str
     tree: Optional[ast.AST]
     suppressions: SuppressionIndex
     parse_error: Optional[str] = None
+    #: Every node of ``tree``, in :func:`ast.walk` order.
+    nodes: list[ast.AST] = field(default_factory=list, repr=False, compare=False)
+    #: Module, ``class`` and ``def`` nodes -> the nodes each owns, in
+    #: ``ast.walk`` order.  A nested ``def``/``class`` statement is listed
+    #: in its parent; its body is listed under its own key only.
+    scopes: dict[ast.AST, list[ast.AST]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @classmethod
     def from_text(cls, text: str, path: str) -> "SourceFile":
         tree: Optional[ast.AST] = None
         error: Optional[str] = None
+        nodes: list[ast.AST] = []
+        scopes: dict[ast.AST, list[ast.AST]] = {}
         try:
             tree = ast.parse(text, filename=path)
         except SyntaxError as exc:
             error = f"{exc.msg} (line {exc.lineno})"
+        else:
+            nodes, scopes = _index_tree(tree)
         return cls(
             path=path,
             text=text,
             tree=tree,
             suppressions=parse_suppressions(text),
             parse_error=error,
+            nodes=nodes,
+            scopes=scopes,
         )
 
     @classmethod
@@ -102,6 +163,23 @@ class SourceFile:
         """The bare module name (``red`` for ``src/repro/net/red.py``)."""
         return pathlib.PurePosixPath(self.path).stem
 
+    def walk(self, scope: ast.AST) -> Iterator[ast.AST]:
+        """Every node under ``scope``'s body, nested scopes included.
+
+        The scope's own nodes come first, in ``ast.walk`` order, then each
+        nested scope's in turn, depth first.
+        """
+        owned = self.scopes[scope]
+        yield from owned
+        for node in owned:
+            if isinstance(node, SCOPE_TYPES):
+                yield from self.walk(node)
+
+
+#: ``--stats`` rows that are not rules: building the SourceFiles, then
+#: each shared LintContext analysis.
+PHASES = ("parse", "program", "units", "intervals", "purity")
+
 
 class LintContext:
     """Per-run shared state for project rules.
@@ -109,11 +187,14 @@ class LintContext:
     Whole-program analyses are expensive (symbol tables over every file,
     unit inference, call-graph reachability); the engine builds one
     context per run and hands it to every project rule, which memoizes
-    each analysis on first use.
+    each analysis on first use.  Each build's wall time is charged to
+    its own row of ``timings`` (see :data:`PHASES`), not to the rule
+    that happened to ask first.
     """
 
-    def __init__(self, files: Sequence["SourceFile"]):
+    def __init__(self, files: Sequence["SourceFile"], timings: dict[str, float]):
         self.files = list(files)
+        self.timings = timings
         self._program: Optional["Program"] = None
         self._unit_events: dict[tuple[str, ...], list["UnitEvent"]] = {}
         self._interval_events: dict[tuple[str, ...], list["IntervalEvent"]] = {}
@@ -125,7 +206,9 @@ class LintContext:
         if self._program is None:
             from repro.lint.analysis.symbols import build_program
 
+            started = time.perf_counter()
             self._program = build_program(self.files)
+            _charge(self.timings, "program", started)
         return self._program
 
     def unit_events(self, scope: Sequence[str]) -> list["UnitEvent"]:
@@ -134,7 +217,10 @@ class LintContext:
         if key not in self._unit_events:
             from repro.lint.analysis.unitcheck import analyze_units
 
-            self._unit_events[key] = analyze_units(self.program, self.files, key)
+            program = self.program
+            started = time.perf_counter()
+            self._unit_events[key] = analyze_units(program, self.files, key)
+            _charge(self.timings, "units", started)
         return self._unit_events[key]
 
     def interval_events(self, scope: Sequence[str]) -> list["IntervalEvent"]:
@@ -143,9 +229,10 @@ class LintContext:
         if key not in self._interval_events:
             from repro.lint.analysis.contracts import analyze_contracts
 
-            self._interval_events[key] = analyze_contracts(
-                self.program, self.files, key
-            )
+            program = self.program
+            started = time.perf_counter()
+            self._interval_events[key] = analyze_contracts(program, self.files, key)
+            _charge(self.timings, "intervals", started)
         return self._interval_events[key]
 
     @property
@@ -154,7 +241,10 @@ class LintContext:
         if self._purity is None:
             from repro.lint.analysis.purity import analyze_purity
 
-            self._purity = analyze_purity(self.program, self.files)
+            program = self.program
+            started = time.perf_counter()
+            self._purity = analyze_purity(program, self.files)
+            _charge(self.timings, "purity", started)
         return self._purity
 
 
@@ -169,9 +259,9 @@ class LintReport:
     baselined: int = 0
     #: Human descriptions of baseline entries nothing matched anymore.
     stale_baseline: list[str] = field(default_factory=list)
-    #: Wall time spent per rule code, in seconds (``--stats``).  A
-    #: project rule that triggers a shared LintContext analysis build
-    #: pays for that build; later rules reusing the cache read ~0.
+    #: Wall seconds per ``--stats`` row: one per :data:`PHASES` entry
+    #: that ran, and one per rule code holding that rule's own time.
+    #: They add up to the run, less filtering and sorting the findings.
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -259,6 +349,15 @@ def _admit(
     return None
 
 
+def _charge(timings: dict[str, float], row: str, started: float) -> None:
+    """Add the seconds since ``started`` to ``row``."""
+    timings[row] = timings.get(row, 0.0) + time.perf_counter() - started
+
+
+def _phase_seconds(timings: dict[str, float]) -> float:
+    return sum(timings.get(phase, 0.0) for phase in PHASES)
+
+
 def lint_files(
     files: Sequence[SourceFile],
     select: "set[str] | None" = None,
@@ -284,19 +383,20 @@ def lint_files(
             started = time.perf_counter()
             for finding in r.check_file(src):
                 raw.append((r, finding))
-            timings[r.code] = timings.get(r.code, 0.0) + (
-                time.perf_counter() - started
-            )
+            _charge(timings, r.code, started)
     parseable = [src for src in files if src.parse_error is None]
-    context = LintContext(parseable)
+    context = LintContext(parseable, timings)
     for r in rules:
         if not r.project:
             continue
+        builds = _phase_seconds(timings)
         started = time.perf_counter()
         for finding in r.check_project(parseable, context):
             raw.append((r, finding))
-        timings[r.code] = timings.get(r.code, 0.0) + (
-            time.perf_counter() - started
+        # Analyses this rule triggered were charged to their own rows.
+        elapsed = time.perf_counter() - started
+        timings[r.code] = timings.get(r.code, 0.0) + elapsed - (
+            _phase_seconds(timings) - builds
         )
 
     for r, finding in raw:
@@ -312,6 +412,20 @@ def lint_files(
     return report
 
 
+def _lint_parsed(
+    files: Sequence[SourceFile],
+    parse_started: float,
+    select: "set[str] | None",
+    ignore: "set[str] | None",
+    baseline: "Baseline | None",
+) -> LintReport:
+    """Lint freshly built files, charging their construction to ``parse``."""
+    parse_s = time.perf_counter() - parse_started
+    report = lint_files(files, select=select, ignore=ignore, baseline=baseline)
+    report.timings["parse"] = parse_s
+    return report
+
+
 def lint_sources(
     sources: Mapping[str, str],
     select: "set[str] | None" = None,
@@ -324,8 +438,9 @@ def lint_sources(
     ``repro/net/example.py`` is linted exactly as if it lived in the
     real ``repro.net`` package.
     """
+    started = time.perf_counter()
     files = [SourceFile.from_text(text, path) for path, text in sources.items()]
-    return lint_files(files, select=select, ignore=ignore, baseline=baseline)
+    return _lint_parsed(files, started, select, ignore, baseline)
 
 
 def lint_paths(
@@ -335,5 +450,6 @@ def lint_paths(
     baseline: "Baseline | None" = None,
 ) -> LintReport:
     """Lint files and directory trees on disk."""
+    started = time.perf_counter()
     files = [SourceFile.from_disk(p) for p in walk_paths(paths)]
-    return lint_files(files, select=select, ignore=ignore, baseline=baseline)
+    return _lint_parsed(files, started, select, ignore, baseline)

@@ -11,7 +11,7 @@ whose order can leak into event scheduling or hashed payloads.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.lint.astutil import call_name
 from repro.lint.engine import SourceFile
@@ -83,8 +83,7 @@ class DirectRandomRule(Rule):
     scope = SIM_PACKAGES
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        assert src.tree is not None
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if isinstance(node, ast.Call):
                 name = call_name(node)
                 if name is not None and name.split(".")[0] == "random" and "." in name:
@@ -138,8 +137,7 @@ class WallClockRule(Rule):
     )
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        assert src.tree is not None
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if isinstance(node, ast.Call):
                 name = call_name(node)
                 if name is None:
@@ -195,26 +193,6 @@ def _is_set_expr(node: Optional[ast.expr], set_names: "set[str]") -> bool:
     return False
 
 
-def _shallow_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
-    """Statements of a scope, not descending into nested scopes."""
-    stack = list(body)
-    while stack:
-        stmt = stack.pop()
-        yield stmt
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                stack.append(child)
-            else:
-                # statements nested under non-stmt nodes (e.g. in
-                # comprehensions) don't exist; expressions are handled
-                # by the iteration scan, not the binding scan.
-                stack.extend(
-                    grand for grand in ast.walk(child) if isinstance(grand, ast.stmt)
-                )
-
-
 @rule
 class UnorderedIterationRule(Rule):
     """D003: don't iterate sets where order can escape.
@@ -234,61 +212,34 @@ class UnorderedIterationRule(Rule):
     scope = DOMAIN_PACKAGES
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        assert src.tree is not None
-        from repro.lint.astutil import scopes
-
-        for scope_node, body in scopes(src.tree):
+        for owned in src.scopes.values():
+            # One pass per scope collects its set bindings and iterated
+            # expressions; each iteration is then judged against all of
+            # the scope's bindings, wherever in the scope they sit.
             set_names: set[str] = set()
-            for stmt in _shallow_statements(body):
-                targets: list[ast.expr] = []
-                if isinstance(stmt, ast.Assign):
-                    targets = stmt.targets
-                    value: Optional[ast.expr] = stmt.value
-                elif isinstance(stmt, ast.AnnAssign):
-                    targets = [stmt.target]
-                    value = stmt.value
-                else:
-                    continue
-                if _is_set_expr(value, set_names):
-                    for target in targets:
-                        if isinstance(target, ast.Name):
-                            set_names.add(target.id)
-            yield from self._scan_iterations(src, scope_node, body, set_names)
-
-    def _scan_iterations(
-        self,
-        src: SourceFile,
-        scope_node: ast.AST,
-        body: Sequence[ast.stmt],
-        set_names: "set[str]",
-    ) -> Iterator[Finding]:
-        own_scopes = {
-            id(n)
-            for n in ast.walk(scope_node)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and n is not scope_node
-        }
-
-        def walk_scope(node: ast.AST) -> Iterator[ast.AST]:
-            for child in ast.iter_child_nodes(node):
-                if id(child) in own_scopes:
-                    continue
-                yield child
-                yield from walk_scope(child)
-
-        for node in walk_scope(scope_node):
             iters: list[ast.expr] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-            ):
-                iters.extend(gen.iter for gen in node.generators)
-            elif isinstance(node, ast.Call) and call_name(node) in (
-                "list",
-                "tuple",
-            ):
-                if len(node.args) == 1:
+            for node in owned:
+                if isinstance(node, ast.Assign):
+                    if _is_set_expr(node.value, set_names):
+                        set_names.update(
+                            t.id for t in node.targets if isinstance(t, ast.Name)
+                        )
+                elif isinstance(node, ast.AnnAssign):
+                    if isinstance(node.target, ast.Name) and _is_set_expr(
+                        node.value, set_names
+                    ):
+                        set_names.add(node.target.id)
+                elif isinstance(node, (ast.For, ast.AsyncFor)):
+                    iters.append(node.iter)
+                elif isinstance(
+                    node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+                ):
+                    iters.extend(gen.iter for gen in node.generators)
+                elif (
+                    isinstance(node, ast.Call)
+                    and len(node.args) == 1
+                    and call_name(node) in ("list", "tuple")
+                ):
                     iters.append(node.args[0])
             for it in iters:
                 if _is_set_expr(it, set_names):

@@ -54,8 +54,7 @@ class BlindExceptRule(Rule):
     requires_reason = True
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        assert src.tree is not None
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             name = _blind_name(node.type)

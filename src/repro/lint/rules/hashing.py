@@ -49,11 +49,11 @@ def _compare_false(value: Optional[ast.expr]) -> bool:
     return isinstance(kw, ast.Constant) and kw.value is False
 
 
-def _describe_keys(cls: ast.ClassDef) -> Optional[set[str]]:
+def _describe_keys(src: SourceFile, cls: ast.ClassDef) -> Optional[set[str]]:
     """String keys of the dict returned by ``describe()``, if findable."""
     for stmt in cls.body:
         if isinstance(stmt, ast.FunctionDef) and stmt.name == "describe":
-            for node in ast.walk(stmt):
+            for node in src.scopes[stmt]:
                 if isinstance(node, ast.Return) and isinstance(
                     node.value, ast.Dict
                 ):
@@ -80,8 +80,7 @@ class HashStabilityRule(Rule):
     scope = DOMAIN_PACKAGES
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        assert src.tree is not None
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             if isinstance(node, ast.Call):
                 name = call_name(node)
                 if name == "hash" and node.args:
@@ -112,7 +111,7 @@ class HashStabilityRule(Rule):
     ) -> Iterator[Finding]:
         if not _is_dataclass_decorated(cls):
             return
-        keys = _describe_keys(cls)
+        keys = _describe_keys(src, cls)
         if keys is None:
             return  # no canonical describe() to cross-check against
         for stmt in cls.body:

@@ -45,20 +45,18 @@ class PicklabilityRule(Rule):
     scope = ("repro/experiments",)
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        assert src.tree is not None
-        tree = src.tree
-        yield from self._nested_scenarios(src, tree)
-        yield from self._lambda_fields(src, tree)
+        yield from self._nested_scenarios(src)
+        yield from self._lambda_fields(src)
 
     # -- @scenario registration depth ----------------------------------------
 
-    def _nested_scenarios(self, src: SourceFile, tree: ast.AST) -> Iterator[Finding]:
+    def _nested_scenarios(self, src: SourceFile) -> Iterator[Finding]:
         module_level = {
             id(stmt)
-            for stmt in getattr(tree, "body", [])
+            for stmt in getattr(src.tree, "body", [])
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        for node in ast.walk(tree):
+        for node in src.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not any(_is_scenario_decorator(d) for d in node.decorator_list):
@@ -74,8 +72,8 @@ class PicklabilityRule(Rule):
 
     # -- lambdas flowing into job descriptions -------------------------------
 
-    def _lambda_fields(self, src: SourceFile, tree: ast.AST) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def _lambda_fields(self, src: SourceFile) -> Iterator[Finding]:
+        for node in src.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)

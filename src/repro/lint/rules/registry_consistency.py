@@ -190,8 +190,7 @@ class RegistryConsistencyRule(Rule):
         registered: dict[str, tuple[str, int]] = {}
         duplicates: list[tuple[SourceFile, ast.expr, str]] = []
         for src in package:
-            assert src.tree is not None
-            for node in ast.walk(src.tree):
+            for node in src.nodes:
                 if not isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
@@ -221,8 +220,7 @@ class RegistryConsistencyRule(Rule):
         if not registered:
             return  # registry not in view (partial lint run)
         for src in package:
-            assert src.tree is not None
-            for node in ast.walk(src.tree):
+            for node in src.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node)

@@ -69,8 +69,7 @@ class BareMeasurementListRule(Rule):
     requires_reason = True
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        assert src.tree is not None
-        for node in ast.walk(src.tree):
+        for node in src.nodes:
             targets: list[ast.expr] = []
             value: Optional[ast.expr] = None
             if isinstance(node, ast.Assign):

@@ -11,8 +11,13 @@ Two forms are recognized anywhere a comment can appear:
 * ``# simlint: disable=CODE[,CODE2...]`` — suppress on this line;
 * ``# simlint: disable-file=CODE[,CODE2...]`` — suppress in this file.
 
+Only the leading comma-separated ``CODE`` / ``CODE(reason)`` list is
+read; prose after it (``-- see NOTE``) is not taken for more codes.
+
 Comments are found with :mod:`tokenize`, not regexes over raw lines, so
 string literals that merely *look* like suppressions are never honored.
+A file whose raw text nowhere matches the directive pattern cannot hold
+one in a comment either, and is not tokenized at all.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from dataclasses import dataclass, field
 
 __all__ = ["Suppression", "SuppressionIndex", "parse_suppressions"]
 
-#: ``CODE`` or ``CODE(reason text)``; codes are letters + digits (D001).
-_ENTRY = re.compile(r"([A-Z][A-Z0-9]*)\s*(?:\(([^)]*)\))?")
-_DIRECTIVE = re.compile(r"#\s*simlint:\s*(disable(?:-file)?)\s*=\s*(.+)")
+#: ``CODE`` or ``CODE(reason text)``, then an optional list comma; codes
+#: are letters + digits (D001).
+_ENTRY = re.compile(r"\s*([A-Z][A-Z0-9]*)\s*(?:\(([^)]*)\))?\s*(,?)")
+_DIRECTIVE = re.compile(r"#\s*simlint:\s*(disable(?:-file)?)\s*=(.*)")
 
 
 @dataclass(frozen=True)
@@ -58,17 +64,25 @@ class SuppressionIndex:
 
 
 def _parse_entries(text: str) -> list[tuple[str, str]]:
-    """Split ``D001,E001(reason)`` into ``[(code, reason), ...]``."""
+    """Split ``D001,E001(reason) -- prose`` into ``[(code, reason), ...]``.
+
+    Parsing stops at the first entry not followed by a comma.
+    """
     entries: list[tuple[str, str]] = []
-    for match in _ENTRY.finditer(text):
-        code, reason = match.group(1), match.group(2) or ""
-        entries.append((code, reason.strip()))
+    pos = 0
+    while (match := _ENTRY.match(text, pos)) is not None:
+        entries.append((match.group(1), (match.group(2) or "").strip()))
+        if not match.group(3):
+            break
+        pos = match.end()
     return entries
 
 
 def parse_suppressions(source: str) -> SuppressionIndex:
     """Index every ``# simlint:`` directive in ``source`` by line."""
     index = SuppressionIndex()
+    if _DIRECTIVE.search(source) is None:
+        return index  # no comment can hold what the raw text does not
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [

@@ -120,6 +120,42 @@ class TestD003:
     def test_sorted_is_the_sanctioned_normalizer(self):
         assert lint_fixture("d003_good", SIM, "D003").ok
 
+    def test_set_bound_and_iterated_in_a_method_is_flagged(self):
+        src = (
+            "class Scheduler:\n"
+            "    def drain(self, flows):\n"
+            "        pending = set(flows)\n"
+            "        for name in pending:\n"
+            "            self.fire(name)\n"
+        )
+        report = lint_sources({SIM: src}, select={"D003"})
+        assert lines(report) == [4]
+
+    def test_set_inference_is_per_scope(self):
+        # ``pending`` is a set only in ``outer``; the nested def that
+        # iterates it cannot see that binding, so it is not flagged.
+        src = (
+            "def outer(flows):\n"
+            "    pending = set(flows)\n"
+            "    def inner():\n"
+            "        for name in pending:\n"
+            "            print(name)\n"
+            "    return inner\n"
+        )
+        assert lint_sources({SIM: src}, select={"D003"}).ok
+
+    def test_comprehensions_and_lambdas_belong_to_their_function(self):
+        src = (
+            "def order(flows):\n"
+            "    pending = set(flows)\n"
+            "    first = [f for f in pending]\n"
+            "    later = lambda: list(pending)\n"
+            "    nested = lambda: [g for g in pending]\n"
+            "    return first, later, nested\n"
+        )
+        report = lint_sources({SIM: src}, select={"D003"})
+        assert lines(report) == [3, 4, 5]
+
 
 # ---------------------------------------------------------------------------
 # P001: scenario runners and Job fields must survive pickling
@@ -335,6 +371,32 @@ class TestSuppressions:
         assert report.ok
         assert report.suppressed == 2
 
+    def test_trailing_prose_is_not_a_code_list(self):
+        from repro.lint import parse_suppressions
+
+        src = (
+            "x = random.random()  "
+            "# simlint: disable=D002(demo) -- see NOTE, E001 is unrelated\n"
+        )
+        index = parse_suppressions(src)
+        assert sorted(index.by_line[1]) == ["D002"]
+        assert index.lookup("E001", 1) is None
+        assert index.by_line[1]["D002"].reason == "demo"
+
+    def test_source_without_a_directive_is_not_tokenized(self, monkeypatch):
+        from repro.lint import parse_suppressions, suppress
+
+        def refuse(readline):
+            raise AssertionError("tokenized a file with no directive")
+
+        monkeypatch.setattr(suppress.tokenize, "generate_tokens", refuse)
+        for text in (
+            "import random\nx = random.random()\n",
+            '"""simlint checks this module."""\nx = 1  # see simlint docs\n',
+        ):
+            index = parse_suppressions(text)
+            assert not index.by_line and not index.file_wide
+
 
 # ---------------------------------------------------------------------------
 # Engine behaviour
@@ -342,6 +404,36 @@ class TestSuppressions:
 
 
 class TestEngine:
+    def test_source_file_indexes_nodes_and_scopes(self):
+        import ast
+
+        from repro.lint.engine import SourceFile
+
+        src = SourceFile.from_text(
+            "@deco(a)\n"
+            "def f(x=b):\n"
+            "    y = 1\n"
+            "    def g():\n"
+            "        z = 2\n"
+            "    return lambda: y\n"
+            "class C(Base):\n"
+            "    w = 3\n",
+            "m.py",
+        )
+        assert src.nodes == list(ast.walk(src.tree))
+        f, c = src.tree.body
+        g = f.body[1]
+
+        def names(nodes):
+            return {n.id for n in nodes if isinstance(n, ast.Name)}
+
+        # Decorators, defaults and bases belong to the enclosing scope.
+        assert names(src.scopes[src.tree]) == {"deco", "a", "b", "Base"}
+        assert names(src.scopes[f]) == {"y"}  # lambdas are not scopes
+        assert names(src.scopes[g]) == {"z"}
+        assert names(src.scopes[c]) == {"w"}
+        assert names(src.walk(f)) == {"y", "z"}
+
     def test_syntax_error_yields_x000(self):
         report = lint_sources({SIM: "def broken(:\n"})
         assert [f.rule for f in report.findings] == ["X000"]
@@ -475,6 +567,11 @@ class TestCli:
         assert " ms" in out
         for code in ("I001", "E001"):
             assert code in out
+        # Shared builds get their own rows instead of being charged to
+        # whichever project rule asked first.
+        assert "per-phase wall time:" in out
+        for phase in ("parse", "program", "intervals"):
+            assert f"  {phase} " in out
 
 
 # ---------------------------------------------------------------------------
