@@ -22,10 +22,8 @@ injects deterministic faults for smoke-testing the recovery paths (see
 ``repro.experiments.faults``).
 
 The throughput scheduler honors the same convention:
-``REPRO_DISPATCH={lpt,fifo}`` picks the execution order,
-``REPRO_POOL_MODE={warm,cold}`` warm fork-server vs per-map worker
-pools, ``REPRO_TRANSPORT={packed,pickle}`` the result transport, and
-``REPRO_COST_MODEL=/path`` the cost-model sidecar.  All of them change
+``REPRO_DISPATCH={lpt,fifo}`` picks the execution order and
+``REPRO_COST_MODEL=/path`` the cost-model sidecar.  Both change
 wall-clock only — never a table.
 """
 

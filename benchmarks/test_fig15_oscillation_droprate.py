@@ -3,6 +3,7 @@
 from conftest import run_once
 
 from test_fig14_oscillation_utilization import oscillation_sweep
+from repro.experiments import fig15_oscillation_droprate as fig15
 from repro.experiments.oscillation_utilization import table_from_sweep
 
 
@@ -13,8 +14,8 @@ def test_fig15_oscillation_droprate(benchmark, scale, sweep_cache, report):
     table = table_from_sweep(
         results,
         metric="drop_rate",
-        title="Figure 15: drop rate vs CBR ON/OFF time (3:1 oscillation)",
-        notes="",
+        title=fig15.TITLE,
+        notes=fig15.NOTES,  # the same caption `repro run --out` writes
     )
     report("fig15_oscillation_droprate", table)
 

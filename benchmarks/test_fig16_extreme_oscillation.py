@@ -2,6 +2,7 @@
 
 from conftest import run_once
 
+from repro.experiments import fig16_extreme_oscillation as fig16
 from repro.experiments.oscillation_utilization import sweep, table_from_sweep
 
 
@@ -17,8 +18,8 @@ def test_fig16_extreme_oscillation(benchmark, scale, sweep_cache, report):
     table = table_from_sweep(
         results,
         metric="utilization",
-        title="Figure 16: utilization vs CBR ON/OFF time (10:1 oscillation)",
-        notes="",
+        title=fig16.TITLE,
+        notes=fig16.NOTES,  # the same caption `repro run --out` writes
     )
     report("fig16_extreme_oscillation", table)
 

@@ -8,7 +8,7 @@ Usage::
     python -m repro run all --out results/    # everything, persisted
     python -m repro run fig04 --chart         # ASCII rendering of the shape
     python -m repro run all --parallel 4      # fan jobs out over 4 processes
-    python -m repro run all --no-cache        # force fresh simulations
+    python -m repro run all --no-cache        # fresh simulations, each job once
     python -m repro run all --cache-dir /tmp/repro-cache
     python -m repro run all --run-log run.jsonl --job-timeout 600
     python -m repro run fig04 --trace         # also record telemetry traces
@@ -34,24 +34,27 @@ telemetry stream carries everything the figures need
 Results are cached on disk (``~/.cache/repro`` by default, see
 ``--cache-dir``) keyed by the content hash of each job plus a
 code-version salt, so a warm second run replays from the cache without
-simulating anything.  Parallel runs produce byte-identical tables to
-serial runs: every job carries its own seed and results are re-ordered
-by job index before reduction.
+simulating anything.  ``--no-cache`` swaps the disk cache for an
+in-memory one that lives for this invocation only, so a job several
+figures share (Figures 4/5, 14/15) is still computed once.  Parallel runs
+produce byte-identical tables to serial runs: every job carries its own
+seed and results are re-ordered by job index before reduction.
 
-Parallel runs are fault-tolerant: a crashed worker breaks only its own
-slot (the job is retried on a rebuilt pool), stuck jobs can be bounded
-with ``--job-timeout``, failing jobs retry up to ``--max-retries`` times,
-and completed results always reach the cache before any failure
-propagates.  ``--run-log PATH`` appends one JSONL provenance record per
-job (content hash, attempts, worker pid, wall time, dispatch order,
-predicted cost) plus a summary per figure — see ``docs/experiments.md``.
+Parallel runs are fault-tolerant: a crashed worker costs only the job it
+was running (the worker is respawned and the job retried), stuck jobs
+can be bounded with ``--job-timeout``, failing jobs retry up to
+``--max-retries`` times, and completed results always reach the cache
+before any failure propagates.  ``--run-log PATH`` appends one JSONL
+provenance record per job (content hash, attempts, worker pid, wall
+time, dispatch order, predicted cost) plus a summary per figure — see
+``docs/experiments.md``.
 
 Dispatch is throughput-oriented by default: a learned cost model
 (persisted beside the result cache) predicts each job's wall seconds,
 the longest jobs are submitted first (``--dispatch lpt``), jobs cheaper
-than a pool round-trip run inline in the coordinator, worker pools fork
-from a warm preloaded fork-server template, and results travel as
-packed canonical-JSON frames.  None of this can change a table — only
+than a worker round-trip run inline in the coordinator, the worker
+processes persist for the whole run, and results travel as packed
+canonical-JSON frames.  None of this can change a table — only
 how fast it appears; see ``docs/performance.md``.
 """
 
@@ -144,7 +147,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="reuse cached job results (default: on; --no-cache disables)",
+        help="reuse cached job results (default: on; --no-cache keeps "
+        "results in memory for this run only)",
     )
     run_parser.add_argument(
         "--cache-dir",
@@ -222,8 +226,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench_parser.add_argument(
         "--sweep",
         action="store_true",
-        help="measure end-to-end cold-sweep throughput (serial vs old "
-        "dispatch vs the LPT scheduler) and write BENCH_sweep.json",
+        help="measure end-to-end cold-sweep throughput (serial vs "
+        "parallel) and write BENCH_sweep.json",
     )
     bench_parser.add_argument(
         "--parallel",
@@ -372,7 +376,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
-    cache = ResultCache(cache_dir) if args.cache else None
+    # --no-cache still deduplicates across figures, in memory only.
+    cache = ResultCache(cache_dir if args.cache else None)
     executor = make_executor(
         args.parallel,
         job_timeout=args.job_timeout,
@@ -425,9 +430,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 (args.out / f"{name}.txt").write_text(table.format() + "\n")
             print()
     finally:
-        executor.close()  # release warm worker pools
+        executor.close()
     if len(names) > 1:
-        where = "off" if cache is None else str(cache.root or "memory")
+        where = str(cache.root) if cache.root is not None else "memory, this run only"
         extras = ""
         if total_retries:
             extras += f", {total_retries} retried"
@@ -507,7 +512,7 @@ def _bench_command(args) -> int:
         sweep_path.write_text(dump_document(sweep_doc))
         for entry in sweep_doc["benchmarks"]:
             speedup = entry.get("speedup")
-            tag = f"  {speedup:.2f}x vs old dispatch" if speedup is not None else ""
+            tag = f"  {speedup:.2f}x vs serial" if speedup is not None else ""
             print(f"  {entry['name']:<28} {entry['best_s']:>8.3f} s/sweep{tag}")
         print(f"wrote {sweep_path} ({time.time() - started:.1f}s)")
         return 0

@@ -9,83 +9,58 @@ The execution pipeline, shared by all executors:
 1. answer what it can from the (optional) content-addressed cache;
 2. deduplicate the remaining jobs by content hash (two figures asking for
    the same simulation point compute it once);
-3. run the unique misses — serially, or across isolated single-worker
-   process pools — storing each result into the cache *the moment it
+3. run the unique misses — serially, or across persistent worker
+   processes — storing each result into the cache *the moment it
    completes*;
 4. fan results out to every position that asked for them.
 
-Because every job is a pure, seeded description, workers need no shared
-state: determinism is preserved by construction, and results are keyed by
-submission position rather than completion time.  That same purity makes
-retries safe — re-running a job can only reproduce the identical payload.
+Every job is a pure, seeded description, so workers need no shared state,
+results are keyed by submission position rather than completion time,
+and a retry can only reproduce the identical payload.
 
-Throughput (the scheduler):
+Throughput: a :class:`~repro.experiments.costmodel.CostModel` orders the
+jobs longest-first (``dispatch="lpt"``; ``"fifo"`` keeps submission
+order), and jobs predicted under ``inline_threshold_s`` run in the
+coordinator once the workers have their first jobs.
+:class:`ParallelExecutor` starts its worker processes itself, at the
+first map that needs them, each on one duplex ``multiprocessing.Pipe``,
+and keeps them until :meth:`~ParallelExecutor.close`.  Workers are
+forked on Linux (they start with ``repro`` imported) and spawned
+elsewhere; the coordinator starts no threads, so forking is safe.  A
+worker replies with the RPK1 frame of :mod:`repro.experiments.transport`,
+whose canonical JSON bytes go into the cache without re-serializing.
 
-* **cost-model LPT dispatch** — a :class:`~repro.experiments.costmodel.
-  CostModel` predicts each job's wall seconds (learned from run history,
-  static heuristics when cold) and ``dispatch="lpt"`` submits the
-  longest jobs first, so a sweep's stragglers start early instead of
-  serializing at the tail of the map.  ``dispatch="fifo"`` preserves
-  submission order.  Dispatch only reorders *execution*; results are
-  still reduced in canonical job order, so tables cannot change.
-* **inline fast path** — jobs predicted under ``inline_threshold_s``
-  (closed-form analysis figures: microseconds) run in the coordinating
-  process instead of paying a pool round-trip, when no fault injection
-  or per-job timeout needs worker isolation.
-* **warm fork-server pools** (``pool_mode="warm"``, the default) — worker
-  pools come from a preloaded ``multiprocessing.forkserver`` context
-  that imports ``repro`` once, so pool builds and crash-rebuilds fork a
-  warm template instead of paying interpreter+import startup; the pools
-  persist across ``map`` calls (until :meth:`ParallelExecutor.close`)
-  so a 20-figure sweep builds its slots once.  Platforms without fork
-  fall back to ``spawn``.  ``pool_mode="cold"`` restores the historical
-  pools-per-map behavior.
-* **packed result transport** (``transport="packed"``, the default) —
-  workers return results as length-prefixed binary frames carrying the
-  *canonical JSON bytes* the cache stores
-  (:mod:`repro.experiments.transport`), so the coordinator splices them
-  into cache records instead of re-serializing a re-pickled dict; with
-  a disk cache the map's small records flush as batched per-shard pack
-  appends (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
+Fault tolerance (the parallel executor):
 
-Fault tolerance (the parallel executor, unchanged semantics):
+* each worker runs **one job at a time**, so a crash (EOF on its pipe or
+  its process sentinel firing) loses exactly one in-flight job — the
+  worker is respawned within ``max_pool_rebuilds`` and the job retried;
+* exceptions (sent back pickled) and per-job timeouts (``job_timeout``;
+  the stuck worker is killed and respawned) are retried up to
+  ``max_retries`` times with exponential backoff;
+* when the rebuild budget is exhausted the executor **degrades to
+  in-process serial execution** rather than failing the run;
+* completed results reach the cache *before* any failure propagates, and
+  in-flight work is drained and salvaged, so a rerun after a hard failure
+  never recomputes them.
 
-* each worker is its **own** single-process pool, so one crashed worker
-  (``BrokenProcessPool``) takes down exactly one in-flight job — the
-  slot's pool is rebuilt (with backoff) and the job retried, while every
-  other worker keeps computing;
-* ordinary exceptions and per-job timeouts (``job_timeout``) are retried
-  up to ``max_retries`` times with exponential backoff; a stuck worker is
-  terminated and its slot respawned;
-* when the pool is irrecoverable (the rebuild budget is exhausted), the
-  executor **degrades to in-process serial execution** for the remaining
-  jobs rather than failing the run;
-* completed results always flow into the cache *before* any failure
-  propagates, so no simulation is ever computed twice — a rerun after a
-  hard failure answers the salvaged jobs from the cache.  Batched pack
-  writes flush before any failure propagates for the same reason.
-
-Observability: :attr:`Executor.last_report` carries full accounting for
-the last ``map`` call (retries, failures, timeouts, salvaged results,
-pool rebuilds, degradation, per-stage wall-clock, dispatch mode, inline
-count, load-balance efficiency), and an optional
-:class:`~repro.experiments.runlog.RunLog` records one JSONL event per
-job (content hash, status, attempts, worker pid, wall time, dispatch
-order, predicted wall seconds) plus a summary per batch.  Deterministic
-fault injection for all of the above lives in
-:mod:`repro.experiments.faults`.
+:attr:`Executor.last_report` carries the accounting of the last ``map``
+call, and an optional :class:`~repro.experiments.runlog.RunLog` records
+one JSONL event per job plus a summary per map.  Deterministic fault
+injection lives in :mod:`repro.experiments.faults`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -94,7 +69,7 @@ from repro.experiments.costmodel import CostModel
 from repro.experiments.faults import FaultSpec
 from repro.experiments.jobs import Job, execute_job
 from repro.experiments.runlog import RunLog
-from repro.experiments.transport import PackedResult, pack_result, unpack_result
+from repro.experiments.transport import MAGIC, PackedResult, pack_result, unpack_result
 
 __all__ = [
     "DISPATCH_MODES",
@@ -108,48 +83,15 @@ __all__ = [
     "make_executor",
 ]
 
-#: Default bounded-retry budget for failing (not crashing-pool) jobs.
+#: Default bounded-retry budget for failing (not crashing-worker) jobs.
 DEFAULT_MAX_RETRIES = 2
 #: Base of the exponential retry backoff, in seconds.
 DEFAULT_BACKOFF_S = 0.05
 #: Recognized dispatch orders (see ``--dispatch`` / ``REPRO_DISPATCH``).
 DISPATCH_MODES = ("fifo", "lpt")
-#: Recognized pool modes (see ``REPRO_POOL_MODE``).
-POOL_MODES = ("warm", "cold")
-#: Recognized result transports (see ``REPRO_TRANSPORT``).
-TRANSPORTS = ("packed", "pickle")
 #: Jobs predicted at or under this many wall seconds run inline in the
-#: coordinator instead of paying a pool round-trip (~ms each).
+#: coordinator instead of paying a worker round-trip (~ms each).
 INLINE_THRESHOLD_S = 0.01
-
-#: Modules the warm fork-server template imports before the first fork,
-#: so every worker (and every crash-rebuild) starts with the scenario
-#: registry and the execution stack already loaded.
-_WARM_PRELOAD = [
-    "repro.experiments.executor",
-    "repro.experiments.scenarios",
-]
-
-_warm_ctx: Optional[multiprocessing.context.BaseContext] = None
-
-
-def _warm_context() -> multiprocessing.context.BaseContext:
-    """The shared preloaded fork-server context (spawn fallback).
-
-    Built lazily — the fork server itself only starts when the first
-    pool is created — and shared process-wide so every warm pool forks
-    from the same preloaded template.
-    """
-    global _warm_ctx
-    if _warm_ctx is None:
-        methods = multiprocessing.get_all_start_methods()
-        if "forkserver" in methods:
-            ctx = multiprocessing.get_context("forkserver")
-            ctx.set_forkserver_preload(_WARM_PRELOAD)
-        else:  # pragma: no cover - platforms without fork
-            ctx = multiprocessing.get_context("spawn")
-        _warm_ctx = ctx
-    return _warm_ctx
 
 
 def _env_float(name: str) -> Optional[float]:
@@ -160,15 +102,6 @@ def _env_float(name: str) -> Optional[float]:
 def _env_int(name: str) -> Optional[int]:
     raw = os.environ.get(name, "").strip()
     return int(raw) if raw else None
-
-
-def _env_choice(name: str, choices: Sequence[str]) -> Optional[str]:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return None
-    if raw not in choices:
-        raise ValueError(f"{name} must be one of {tuple(choices)}, got {raw!r}")
-    return raw
 
 
 @dataclass
@@ -197,39 +130,21 @@ class ExecutionReport:
     failures: int = 0  # jobs that exhausted their retry budget
     timeouts: int = 0  # per-job timeouts that fired
     salvaged: int = 0  # results completed+cached before a failure/degrade
-    pool_rebuilds: int = 0  # worker pools rebuilt after a crash/stall
+    pool_rebuilds: int = 0  # workers respawned after a crash/stall
     degraded: bool = False  # fell back to in-process serial execution
     # -- per-stage wall-clock, seconds --------------------------------------
     lookup_s: float = 0.0  # stage 1: cache lookups
     execute_s: float = 0.0  # stage 2/3: compute + store
     store_s: float = 0.0  # portion of execute_s spent persisting results
-    startup_s: float = 0.0  # building / reviving worker pools
+    startup_s: float = 0.0  # starting / reviving worker processes
     dispatch_s: float = 0.0  # cost prediction + ordering
     transport_s: float = 0.0  # decoding packed result frames
     compute_s: float = 0.0  # sum of successful attempts' wall seconds
 
     def as_dict(self) -> dict:
         return {
-            "jobs": self.jobs,
-            "computed": self.computed,
-            "cache_hits": self.cache_hits,
-            "deduplicated": self.deduplicated,
-            "dispatch": self.dispatch,
-            "inlined": self.inlined,
-            "load_balance": round(self.load_balance, 6),
-            "retries": self.retries,
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-            "salvaged": self.salvaged,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded": self.degraded,
-            "lookup_s": round(self.lookup_s, 6),
-            "execute_s": round(self.execute_s, 6),
-            "store_s": round(self.store_s, 6),
-            "startup_s": round(self.startup_s, 6),
-            "dispatch_s": round(self.dispatch_s, 6),
-            "transport_s": round(self.transport_s, 6),
-            "compute_s": round(self.compute_s, 6),
+            name: round(value, 6) if isinstance(value, float) else value
+            for name, value in dataclasses.asdict(self).items()
         }
 
 
@@ -249,32 +164,45 @@ class ExecutionError(RuntimeError):
 
 def _pool_run(
     jb: Job, position: int, attempt: int, fault_text: Optional[str]
-) -> tuple[Any, int]:
-    """Worker-side entry point: run one job, report the worker pid.
+) -> PackedResult:
+    """Worker-side entry point: run one job, pack its payload in a frame.
 
     Fault injection (:mod:`repro.experiments.faults`) is bound here —
     inside the worker process — so a ``crash`` fault can only ever kill a
-    worker, never the coordinating process.
+    worker, never the coordinating process.  The payload is serialized
+    once, to the canonical JSON the cache would store anyway.
     """
     fault = None
     if fault_text:
         spec = FaultSpec.parse(fault_text)
         if spec is not None:
             fault = spec.bind(position, attempt)
-    return execute_job(jb, fault=fault), os.getpid()
+    return pack_result(execute_job(jb, fault=fault), traced=jb.trace)
 
 
-def _pool_run_packed(
-    jb: Job, position: int, attempt: int, fault_text: Optional[str]
-) -> tuple[PackedResult, int]:
-    """Packed-transport worker entry: encode the payload before returning.
+def _worker_loop(conn: Any) -> None:
+    """A worker process's whole life: run requests from ``conn`` until
+    ``None`` or EOF.
 
-    The worker serializes the payload *once*, to the canonical JSON the
-    cache would store anyway, so the pool ships one bytes frame instead
-    of pickling a nested dict the coordinator must re-serialize.
+    A request is ``(job, position, attempt, fault_text)``.  The reply is
+    the job's RPK1 frame, or the exception it raised, pickled; the frame
+    magic tells the two apart.
     """
-    value, pid = _pool_run(jb, position, attempt, fault_text)
-    return pack_result(value, traced=jb.trace), pid
+    # Ctrl-C reaches the whole process group; the coordinator handles it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        try:
+            frame = _pool_run(*request)
+        except Exception as exc:  # simlint: disable=E001(sent back to the coordinator, which retries or fails the job)
+            conn.send(exc)
+        else:
+            conn.send_bytes(frame)
 
 
 class Executor:
@@ -323,10 +251,11 @@ class Executor:
         FaultSpec.parse(fault_text)  # validate eagerly: fail fast on typos
         self._fault_text = (fault_text or "").strip() or None
         if dispatch is None:
-            dispatch = _env_choice("REPRO_DISPATCH", DISPATCH_MODES) or "lpt"
+            dispatch = os.environ.get("REPRO_DISPATCH", "").strip().lower() or "lpt"
         if dispatch not in DISPATCH_MODES:
             raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
+                f"dispatch (REPRO_DISPATCH) must be one of {DISPATCH_MODES}, "
+                f"got {dispatch!r}"
             )
         self.dispatch = dispatch
         if isinstance(cost_model, CostModel):
@@ -375,25 +304,14 @@ class Executor:
         report.computed = len(unique)
         outcomes: dict[int, Any] = {}
 
-        def complete(
-            pos: int,
-            value: Any,
-            *,
-            attempts: int,
-            worker_pid: Optional[int],
-            wall_s: float,
-            degraded: bool = False,
-            timed_out: bool = False,
-            dispatch_order: Optional[int] = None,
-            predicted_wall_s: Optional[float] = None,
-        ) -> None:
+        def complete(pos: int, value: Any, *, attempts: int, wall_s: float, **log: Any) -> None:
             # Store immediately — salvage: a later failure cannot discard
             # this result, and a rerun will answer it from the cache.
             _, jb = unique[pos]
             trace_text: Optional[str] = None
             if isinstance(value, PackedResult):
-                # Packed transport: the frame carries the canonical JSON
-                # bytes; splice them straight into the cache record.
+                # A worker's frame carries the canonical JSON bytes;
+                # splice them straight into the cache record.
                 transport_started = time.monotonic()
                 value_text, trace_text = unpack_result(value)
                 report.transport_s += time.monotonic() - transport_started
@@ -429,14 +347,10 @@ class Executor:
                 jb,
                 status="computed",
                 attempts=attempts,
-                worker_pid=worker_pid,
                 wall_s=wall_s,
                 retried=attempts > 1,
-                degraded=degraded,
-                timed_out=timed_out,
                 trace_path=trace_path,
-                dispatch_order=dispatch_order,
-                predicted_wall_s=predicted_wall_s,
+                **log,
             )
 
         batching = cache is not None and cache.begin_batch()
@@ -487,6 +401,28 @@ class Executor:
         for each job as it finishes.  Subclass responsibility."""
         raise NotImplementedError
 
+    def _plan(
+        self, jobs: Sequence[Job], complete: Callable
+    ) -> tuple[list[int], list[float], dict[int, Callable]]:
+        """Predict, order and bind dispatch provenance for one batch.
+
+        Returns the execution order, the per-job predictions, and each
+        position's completion callback with its dispatch rank bound.
+        """
+        report = self.last_report
+        report.dispatch = self.dispatch
+        dispatch_started = time.monotonic()
+        predicted = [self.cost_model.predict(jb) for jb in jobs]
+        order = self._dispatch_order(jobs, predicted)
+        report.dispatch_s += time.monotonic() - dispatch_started
+        finishers = {
+            pos: functools.partial(
+                complete, dispatch_order=rank, predicted_wall_s=predicted[pos]
+            )
+            for rank, pos in enumerate(order)
+        }
+        return order, predicted, finishers
+
     def _dispatch_order(
         self, jobs: Sequence[Job], predicted: Sequence[float]
     ) -> list[int]:
@@ -502,7 +438,7 @@ class Executor:
         return list(range(len(jobs)))
 
     def close(self) -> None:
-        """Release held resources (worker pools).  Base: nothing to do."""
+        """Release held resources (worker processes).  Base: nothing to do."""
 
     def __enter__(self) -> "Executor":
         return self
@@ -525,7 +461,7 @@ class Executor:
 
         Fault injection never applies in-process (a ``crash`` fault must
         not be able to kill the coordinating process), so this is also
-        the safe fallback used after pool degradation.
+        the safe fallback used after worker degradation.
         """
         attempt = start_attempt
         while True:
@@ -538,19 +474,7 @@ class Executor:
                     time.sleep(self.backoff_s * (2 ** (attempt - start_attempt)))
                     attempt += 1
                     continue
-                self.last_report.failures += 1
-                self._log_job(
-                    jb,
-                    status="failed",
-                    attempts=attempt,
-                    degraded=degraded,
-                    error=repr(exc),
-                )
-                raise ExecutionError(
-                    f"job {jb!r} failed after {attempt} attempt(s): {exc!r}",
-                    job=jb,
-                    attempts=attempt,
-                ) from exc
+                raise self._failure(jb, attempt, exc, degraded=degraded) from exc
             complete(
                 pos,
                 value,
@@ -561,24 +485,25 @@ class Executor:
             )
             return
 
+    def _failure(
+        self, jb: Job, attempt: int, exc: BaseException, **log: Any
+    ) -> ExecutionError:
+        """Account and log a job that exhausted its retry budget."""
+        self.last_report.failures += 1
+        self._log_job(jb, status="failed", attempts=attempt, error=repr(exc), **log)
+        return ExecutionError(
+            f"job {jb!r} failed after {attempt} attempt(s): {exc!r}",
+            job=jb,
+            attempts=attempt,
+        )
+
     # -- telemetry ----------------------------------------------------------
 
     def _log_job(
-        self,
-        jb: Job,
-        *,
-        status: str,
-        attempts: int,
-        worker_pid: Optional[int] = None,
-        wall_s: float = 0.0,
-        retried: bool = False,
-        degraded: bool = False,
-        timed_out: bool = False,
-        error: Optional[str] = None,
-        trace_path: Optional[str] = None,
-        dispatch_order: Optional[int] = None,
-        predicted_wall_s: Optional[float] = None,
+        self, jb: Job, *, status: str, attempts: int, wall_s: float = 0.0, **extra: Any
     ) -> None:
+        """One ``event="job"`` record; ``extra`` fields that are ``None``
+        (error, trace_path, dispatch_order, predicted_wall_s) are left out."""
         if self.run_log is None:
             return
         record = {
@@ -588,20 +513,15 @@ class Executor:
             "hash": jb.content_hash,
             "status": status,
             "attempts": attempts,
-            "retried": retried,
-            "timed_out": timed_out,
-            "degraded": degraded,
-            "worker_pid": worker_pid,
+            "retried": False,
+            "timed_out": False,
+            "degraded": False,
+            "worker_pid": None,
             "wall_s": round(wall_s, 6),
         }
-        if error is not None:
-            record["error"] = error
-        if trace_path is not None:
-            record["trace_path"] = trace_path
-        if dispatch_order is not None:
-            record["dispatch_order"] = dispatch_order
-        if predicted_wall_s is not None:
-            record["predicted_wall_s"] = round(predicted_wall_s, 6)
+        for name, value in extra.items():
+            if value is not None:
+                record[name] = round(value, 6) if name == "predicted_wall_s" else value
         self.run_log.record(**record)
 
     def _log_map(self, report: ExecutionReport) -> None:
@@ -616,57 +536,69 @@ class SerialExecutor(Executor):
     workers = 1
 
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
-        report = self.last_report
-        report.dispatch = self.dispatch
-        dispatch_started = time.monotonic()
-        predicted = [self.cost_model.predict(jb) for jb in jobs]
-        order = self._dispatch_order(jobs, predicted)
-        report.dispatch_s += time.monotonic() - dispatch_started
-        for rank, pos in enumerate(order):
-            self._run_in_process(
-                pos,
-                jobs[pos],
-                _with_dispatch(complete, rank, predicted[pos]),
-            )
+        order, _, finishers = self._plan(jobs, complete)
+        for pos in order:
+            self._run_in_process(pos, jobs[pos], finishers[pos])
 
 
-def _with_dispatch(
-    complete: Callable, rank: int, predicted_wall_s: float
-) -> Callable:
-    """Bind one job's dispatch provenance onto the completion callback."""
+class _Worker:
+    """One worker slot: a persistent process, its pipe, its in-flight job.
 
-    def wrapped(pos: int, value: Any, **kwargs: Any) -> None:
-        kwargs.setdefault("dispatch_order", rank)
-        kwargs.setdefault("predicted_wall_s", predicted_wall_s)
-        complete(pos, value, **kwargs)
-
-    return wrapped
-
-
-class _Slot:
-    """One isolated worker: a single-process pool plus its in-flight job.
-
-    Worker isolation is what makes failure attribution exact: a crashed
-    process breaks only its own pool, so exactly the job it was running
-    is retried — every other worker keeps its work.  Warm-mode slots
-    outlive individual ``map`` calls; ``busy_s`` accumulates the wall
-    time this slot spent on successful harvests within the current map,
-    feeding the load-balance efficiency metric.
+    One job in flight per worker keeps failure attribution exact: EOF on
+    the pipe or a dead process sentinel means exactly ``item`` was lost.
+    The slot outlives its process (a crashed or stuck worker is replaced
+    in place), and ``busy_s`` accumulates the wall time the slot spent on
+    successful jobs within the current map, feeding ``load_balance``.
     """
 
-    __slots__ = ("pool", "item", "future", "started", "alive", "busy_s")
+    process: Any = None  # multiprocessing.Process; None when dead
+    conn: Any = None  # the coordinator's end of the pipe
+    item: Optional[tuple[int, Job, int]] = None  # (pos, job, attempt)
+    started = 0.0
+    busy_s = 0.0
 
-    def __init__(self, pool: Optional[ProcessPoolExecutor]):
-        self.pool = pool
-        self.item: Optional[tuple[int, Job, int]] = None  # (pos, job, attempt)
-        self.future: Optional[Future] = None
-        self.started = 0.0
-        self.alive = pool is not None
-        self.busy_s = 0.0
+    def start(self) -> None:
+        """Start a fresh process: forked on Linux, spawned elsewhere."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context(
+            "fork" if sys.platform.startswith("linux") else "spawn"
+        )
+        conn, child = ctx.Pipe()
+        process = ctx.Process(target=_worker_loop, args=(child,), daemon=True)
+        try:
+            process.start()
+        except OSError:  # a sick host: the slot stays dead, the map degrades
+            conn.close()
+            return
+        finally:
+            child.close()
+        self.process, self.conn = process, conn
+
+    def stop(self, grace_s: float = 0.0) -> None:
+        """End the process and reap it, leaving no zombie; idempotent.
+
+        An idle worker is asked to exit and given ``grace_s``; a busy,
+        stuck or dead one is killed.
+        """
+        process, conn, idle = self.process, self.conn, self.item is None
+        self.process = self.conn = self.item = None
+        if process is None:
+            return
+        if grace_s > 0.0 and idle:
+            try:
+                conn.send(None)
+                process.join(grace_s)
+            except OSError:
+                pass  # already dead: the join below reaps it
+        if process.is_alive():
+            process.kill()
+        process.join()
+        conn.close()
 
 
 class ParallelExecutor(Executor):
-    """Run jobs across isolated single-process worker pools.
+    """Run jobs across persistent, isolated worker processes.
 
     Jobs and payloads are picklable by contract, and every job carries
     its own seed, so distributing (or retrying) work cannot change any
@@ -683,8 +615,6 @@ class ParallelExecutor(Executor):
         workers: Optional[int] = None,
         *,
         max_pool_rebuilds: Optional[int] = None,
-        pool_mode: Optional[str] = None,
-        transport: Optional[str] = None,
         inline_threshold_s: Optional[float] = None,
         **kwargs,
     ):
@@ -700,327 +630,246 @@ class ParallelExecutor(Executor):
         self.max_pool_rebuilds = (
             max_pool_rebuilds if max_pool_rebuilds is not None else workers + 2
         )
-        if pool_mode is None:
-            pool_mode = _env_choice("REPRO_POOL_MODE", POOL_MODES) or "warm"
-        if pool_mode not in POOL_MODES:
-            raise ValueError(
-                f"pool_mode must be one of {POOL_MODES}, got {pool_mode!r}"
-            )
-        self.pool_mode = pool_mode
-        if transport is None:
-            transport = _env_choice("REPRO_TRANSPORT", TRANSPORTS) or "packed"
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        self.transport = transport
         self.inline_threshold_s = (
             inline_threshold_s if inline_threshold_s is not None else INLINE_THRESHOLD_S
         )
         self._rebuilds_used = 0
-        self._slots: list[_Slot] = []
+        self._pool: list[_Worker] = []
 
-    # -- pool plumbing ------------------------------------------------------
+    # -- worker lifecycle ---------------------------------------------------
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        if self.pool_mode == "warm":
-            return ProcessPoolExecutor(max_workers=1, mp_context=_warm_context())
-        return ProcessPoolExecutor(max_workers=1)
+    def _start_workers(self, count: int) -> list[_Worker]:
+        """The first ``count`` slots, started or revived, reset for one map.
 
-    def _kill_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
-        """Tear a pool down without waiting on a possibly-stuck worker."""
-        if pool is None:
-            return
-        try:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.terminate()
-                except Exception:  # simlint: disable=E001(best-effort kill of a possibly already-dead worker)
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # simlint: disable=E001(best-effort teardown of a broken pool; nothing to salvage from it)
-            pass
-
-    def _ensure_slots(self, count: int) -> list[_Slot]:
-        """The first ``count`` slots, built or revived, reset for one map.
-
-        Warm mode reuses live pools across maps; dead or missing slots
-        get fresh pools (forked from the warm template, so a revival is
-        cheap) without charging the per-map rebuild budget — that budget
+        Live workers carry over from earlier maps; missing or dead ones
+        start without charging the per-map rebuild budget — that budget
         meters *crash* recovery, not startup.
         """
-        while len(self._slots) < count:
-            self._slots.append(_Slot(None))
-        slots = self._slots[:count]
-        for slot in slots:
-            slot.item = None
-            slot.future = None
-            slot.busy_s = 0.0
-            if slot.pool is None or not slot.alive:
-                try:
-                    slot.pool = self._new_pool()
-                    slot.alive = True
-                except Exception:  # simlint: disable=E001(pool creation may fail on a sick host; the slot stays dead and the scheduler degrades)
-                    slot.pool = None
-                    slot.alive = False
-        return slots
+        while len(self._pool) < count:
+            self._pool.append(_Worker())
+        workers = self._pool[:count]
+        for worker in workers:
+            worker.busy_s = 0.0
+            if worker.process is None or not worker.process.is_alive():
+                worker.stop()
+                worker.start()
+        return workers
 
-    def close(self) -> None:
-        """Tear down every held worker pool (idempotent)."""
-        slots, self._slots = self._slots, []
-        for slot in slots:
-            self._kill_pool(slot.pool)
-            slot.pool = None
-            slot.alive = False
-
-    def __del__(self):
-        # Warm pools outlive maps by design; don't leak worker processes
-        # when the executor itself is garbage-collected.
-        if getattr(self, "_slots", None):
-            self.close()
-
-    def _respawn_or_retire(self, slot: _Slot) -> None:
-        """Rebuild a slot's pool after a crash/stall, within budget."""
-        self._kill_pool(slot.pool)
-        slot.pool = None
-        slot.alive = False
+    def _replace(self, worker: _Worker) -> None:
+        """Kill a crashed or stuck worker; respawn it within budget."""
+        worker.stop()
         if self._rebuilds_used >= self.max_pool_rebuilds:
             return  # budget exhausted: the slot stays dead
         self._rebuilds_used += 1
         self.last_report.pool_rebuilds += 1
         time.sleep(self.backoff_s)
-        try:
-            slot.pool = self._new_pool()
-            slot.alive = True
-        except Exception:  # simlint: disable=E001(pool respawn may fail on a sick host; the slot retires and the scheduler degrades)
-            slot.pool = None
-            slot.alive = False
+        worker.start()
+
+    def close(self) -> None:
+        """Stop every worker process and reap it (idempotent)."""
+        workers, self._pool = self._pool, []
+        for worker in workers:
+            worker.stop(grace_s=1.0)
+
+    def __del__(self):
+        # Workers outlive maps by design; don't leak processes when the
+        # executor itself is garbage-collected.
+        if getattr(self, "_pool", None):
+            self.close()
 
     # -- the scheduler loop -------------------------------------------------
 
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
         if not jobs:
             return
-        report = self.last_report
-        report.dispatch = self.dispatch
-        dispatch_started = time.monotonic()
-        predicted = [self.cost_model.predict(jb) for jb in jobs]
-        order = self._dispatch_order(jobs, predicted)
-        report.dispatch_s += time.monotonic() - dispatch_started
-        finishers = {
-            pos: _with_dispatch(complete, rank, predicted[pos])
-            for rank, pos in enumerate(order)
-        }
-
+        order, predicted, finishers = self._plan(jobs, complete)
         plain = self._fault_text is None and self.job_timeout is None
         if plain and (self.workers == 1 or len(jobs) <= 1):
             # Nothing to inject or time out, and no real parallelism to
-            # gain: the pool buys no isolation worth its startup cost.
+            # gain: a worker buys no isolation worth its round-trip.
             for pos in order:
                 self._run_in_process(pos, jobs[pos], finishers[pos])
             return
 
-        # Inline fast path: jobs predicted cheaper than a pool round-trip
-        # run right here.  Only when no fault spec or timeout needs the
-        # worker-isolation boundary (injected faults must be able to kill
-        # a worker, never the coordinator).
+        # Inline fast path: jobs predicted cheaper than a worker
+        # round-trip run right here.  Only when no fault spec or timeout
+        # needs the worker-isolation boundary (injected faults must be
+        # able to kill a worker, never the coordinator).
+        inline = []
         if plain and self.inline_threshold_s > 0.0:
             inline = [
                 pos for pos in order if predicted[pos] <= self.inline_threshold_s
             ]
-        else:
-            inline = []
         inlined = dict.fromkeys(inline)
-        pooled = [pos for pos in order if pos not in inlined]
-        report.inlined += len(inline)
-        for pos in inline:
-            self._run_in_process(pos, jobs[pos], finishers[pos])
-        if not pooled:
-            return
-
-        self._rebuilds_used = 0
         queue: deque[tuple[int, Job, int]] = deque(
-            (pos, jobs[pos], 1) for pos in pooled
+            (pos, jobs[pos], 1) for pos in order if pos not in inlined
         )
-        startup_started = time.monotonic()
-        slots = self._ensure_slots(min(self.workers, len(pooled)))
-        report.startup_s += time.monotonic() - startup_started
+        self.last_report.inlined += len(inline)
+        self._rebuilds_used = 0
+        workers: list[_Worker] = []
+        if queue:
+            startup_started = time.monotonic()
+            workers = self._start_workers(min(self.workers, len(queue)))
+            self.last_report.startup_s += time.monotonic() - startup_started
         try:
-            while queue or any(slot.item is not None for slot in slots):
-                for slot in slots:
-                    if slot.alive and slot.item is None and queue:
-                        self._submit(slot, queue)
-                busy = [slot for slot in slots if slot.item is not None]
-                if not busy:
-                    if queue and not any(slot.alive for slot in slots):
-                        # Pool irrecoverable: degrade to in-process serial.
-                        self._degrade(queue, finishers)
-                        return
-                    continue  # a submit just failed; loop re-fills
-                waitmap = {slot.future: slot for slot in busy}
-                timeout = None
-                if self.job_timeout is not None:
-                    deadline = min(slot.started for slot in busy) + self.job_timeout
-                    timeout = max(0.0, deadline - time.monotonic())
-                done, _ = wait(
-                    list(waitmap), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                now = time.monotonic()
-                # Harvest in slot order (not set order), and harvest the
-                # *whole* done batch before letting a terminal failure
-                # propagate: results that completed alongside the failure
-                # are salvaged into the cache, not dropped.
-                error: Optional[ExecutionError] = None
-                for slot in busy:
-                    if slot.future is None or slot.future not in done:
-                        continue
-                    try:
-                        self._harvest(slot, queue, finishers, now)
-                    except ExecutionError as exc:
-                        if error is None:
-                            error = exc
-                if error is not None:
-                    self._drain(slots, finishers)
-                    raise error
-                if self.job_timeout is not None:
-                    for slot in busy:
-                        if (
-                            slot.item is not None
-                            and slot.future is not None
-                            and not slot.future.done()
-                            and now - slot.started >= self.job_timeout
-                        ):
-                            self._expire(slot, queue)
+            self._fill(workers, queue)  # so the workers compute during the inline jobs
+            for pos in inline:
+                self._run_in_process(pos, jobs[pos], finishers[pos])
+            self._schedule(workers, queue, finishers)
+        except ExecutionError:
+            self._drain(workers, finishers)
+            raise
         finally:
-            busy_times = [slot.busy_s for slot in slots]
+            for worker in workers:
+                if worker.item is not None:
+                    worker.stop()  # its reply would be read as the next map's
+            busy_times = [worker.busy_s for worker in workers]
             if any(busy_times):
                 mean = sum(busy_times) / len(busy_times)
-                report.load_balance = max(busy_times) / mean
-            if self.pool_mode == "cold":
-                self.close()
+                self.last_report.load_balance = max(busy_times) / mean
 
-    def _submit(self, slot: _Slot, queue: deque) -> None:
-        pos, jb, attempt = queue.popleft()
-        entry = _pool_run_packed if self.transport == "packed" else _pool_run
-        try:
-            future = slot.pool.submit(entry, jb, pos, attempt, self._fault_text)
-        except Exception:  # simlint: disable=E001(the pool can die between harvest and submit; the job is requeued untouched)
-            # The pool died between harvest and submit: put the job back
-            # untouched (it never ran) and rebuild or retire the slot.
-            queue.appendleft((pos, jb, attempt))
-            self._respawn_or_retire(slot)
-            return
-        slot.item = (pos, jb, attempt)
-        slot.future = future
-        slot.started = time.monotonic()
+    def _schedule(
+        self, workers: Sequence[_Worker], queue: deque, finishers: dict
+    ) -> None:
+        """Keep one job in flight per live worker until the queue drains."""
+        from multiprocessing.connection import wait
+
+        while True:
+            self._fill(workers, queue)
+            busy = [worker for worker in workers if worker.item is not None]
+            if not busy:
+                if queue and all(worker.process is None for worker in workers):
+                    # Workers irrecoverable: degrade to in-process serial.
+                    self._degrade(queue, finishers)
+                if not queue:
+                    return
+                continue  # a submit just failed; the loop re-fills
+            timeout = None
+            if self.job_timeout is not None:
+                deadline = min(worker.started for worker in busy) + self.job_timeout
+                timeout = max(0.0, deadline - time.monotonic())
+            pipes = [worker.conn for worker in busy]
+            ready = set(wait(pipes + [worker.process.sentinel for worker in busy], timeout))
+            now = time.monotonic()
+            # Handle every ready worker, in slot order, before a terminal
+            # failure propagates: results that completed alongside it are
+            # salvaged into the cache, not dropped.
+            error: Optional[ExecutionError] = None
+            for worker in busy:
+                try:
+                    if worker.conn in ready or worker.process.sentinel in ready:
+                        self._harvest(worker, queue, finishers, now)
+                    elif (
+                        self.job_timeout is not None
+                        and now - worker.started >= self.job_timeout
+                    ):
+                        self._expire(worker, queue, finishers)
+                except ExecutionError as exc:
+                    error = error or exc
+            if error is not None:
+                raise error
+
+    def _fill(self, workers: Sequence[_Worker], queue: deque) -> None:
+        """Hand the next queued job to every idle live worker."""
+        for worker in workers:
+            if not queue or worker.item is not None or worker.process is None:
+                continue
+            pos, jb, attempt = queue.popleft()
+            try:
+                worker.conn.send((jb, pos, attempt, self._fault_text))
+            except OSError:
+                # The worker died while idle: put the job back untouched
+                # (it never ran) and respawn or retire the worker.
+                queue.appendleft((pos, jb, attempt))
+                self._replace(worker)
+                continue
+            worker.item = (pos, jb, attempt)
+            worker.started = time.monotonic()
 
     def _harvest(
-        self, slot: _Slot, queue: deque, finishers: dict, now: float
+        self, worker: _Worker, queue: Optional[deque], finishers: dict, now: float
     ) -> None:
-        pos, jb, attempt = slot.item
-        wall_s = now - slot.started
-        future, slot.item, slot.future = slot.future, None, None
+        """Read one reply.  ``queue=None`` drains: failures are dropped."""
+        pos, jb, attempt = worker.item
+        worker.item = None
         try:
-            value, worker_pid = future.result()
-        except BrokenProcessPool:
-            # Exactly this slot's job was lost; rebuild the slot (within
-            # budget) and retry the job.  Crash retries are bounded by the
-            # rebuild budget, not max_retries: when the budget runs out
-            # every slot dies and the scheduler degrades to serial.
+            reply = worker.conn.recv_bytes()
+        except (EOFError, OSError):
+            if queue is None:
+                worker.stop()
+                return
+            # The worker died: exactly its job was lost.  Crash retries
+            # are bounded by the rebuild budget, not max_retries: when it
+            # runs out every slot dies and the scheduler degrades.
             self.last_report.retries += 1
             queue.appendleft((pos, jb, attempt + 1))
-            self._respawn_or_retire(slot)
-        except Exception as exc:  # simlint: disable=E001(worker exception enters the bounded retry path; exhaustion raises ExecutionError)
-            self._retry_or_fail(queue, pos, jb, attempt, exc)
-        else:
-            slot.busy_s += wall_s
-            finishers[pos](
-                pos, value, attempts=attempt, worker_pid=worker_pid, wall_s=wall_s
-            )
+            self._replace(worker)
+            return
+        if not reply.startswith(MAGIC):
+            if queue is not None:
+                self._retry_or_fail(queue, pos, jb, attempt, pickle.loads(reply))
+            return
+        wall_s = now - worker.started
+        worker.busy_s += wall_s
+        finishers[pos](
+            pos,
+            PackedResult(reply),
+            attempts=attempt,
+            worker_pid=worker.process.pid,
+            wall_s=wall_s,
+        )
 
-    def _drain(self, slots: Sequence[_Slot], finishers: dict) -> None:
+    def _drain(self, workers: Sequence[_Worker], finishers: dict) -> None:
         """A terminal failure is about to propagate: give in-flight
         workers a bounded moment to finish, and salvage what they return.
 
-        Without this, a job that completed (or was about to) on another
-        slot in the same scheduler tick as the fatal failure would be
-        discarded — and recomputed on the next run — purely by race.
-        Worker errors here are ignored: the primary failure already owns
-        the traceback.
+        Otherwise a job that finished in the same scheduler tick as the
+        fatal failure would be recomputed on the next run, purely by race.
+        Worker errors are ignored: the primary failure owns the traceback.
         """
-        busy = [slot for slot in slots if slot.future is not None]
-        if not busy:
-            return
-        timeout = self.job_timeout if self.job_timeout is not None else 5.0
-        wait([slot.future for slot in busy], timeout=timeout)
-        now = time.monotonic()
-        for slot in busy:
-            future = slot.future
-            if future is None or not future.done():
-                continue
-            pos, jb, attempt = slot.item
-            wall_s = now - slot.started
-            slot.item = None
-            slot.future = None
-            try:
-                value, worker_pid = future.result()
-            except Exception:  # simlint: disable=E001(salvage-only drain; the primary ExecutionError is already propagating)
-                continue
-            slot.busy_s += wall_s
-            finishers[pos](
-                pos, value, attempts=attempt, worker_pid=worker_pid, wall_s=wall_s
-            )
+        from multiprocessing.connection import wait
 
-    def _expire(self, slot: _Slot, queue: deque) -> None:
+        busy = [worker for worker in workers if worker.item is not None]
+        patience = self.job_timeout if self.job_timeout is not None else 5.0
+        deadline = time.monotonic() + patience
+        while busy:
+            ready = wait(
+                [worker.conn for worker in busy],
+                max(0.0, deadline - time.monotonic()),
+            )
+            if not ready:
+                return
+            now = time.monotonic()
+            for worker in [worker for worker in busy if worker.conn in ready]:
+                busy.remove(worker)
+                self._harvest(worker, None, finishers, now)
+
+    def _expire(self, worker: _Worker, queue: deque, finishers: dict) -> None:
         """A job outlived ``job_timeout``: kill its worker, retry or fail."""
-        pos, jb, attempt = slot.item
-        slot.item = None
-        slot.future = None
+        pos, jb, attempt = worker.item
+        worker.item = None
         self.last_report.timeouts += 1
-        self._respawn_or_retire(slot)
-        self._retry_or_fail(
-            queue,
-            pos,
-            jb,
-            attempt,
-            TimeoutError(f"job exceeded --job-timeout={self.job_timeout}s"),
-            timed_out=True,
-        )
+        finishers[pos] = functools.partial(finishers[pos], timed_out=True)
+        self._replace(worker)
+        timeout = TimeoutError(f"job exceeded --job-timeout={self.job_timeout}s")
+        self._retry_or_fail(queue, pos, jb, attempt, timeout, timed_out=True)
 
     def _retry_or_fail(
-        self,
-        queue: deque,
-        pos: int,
-        jb: Job,
-        attempt: int,
-        exc: BaseException,
-        *,
-        timed_out: bool = False,
+        self, queue: deque, pos: int, jb: Job, attempt: int, exc: BaseException,
+        *, timed_out: bool = False,
     ) -> None:
-        if attempt <= self.max_retries:
-            self.last_report.retries += 1
-            time.sleep(self.backoff_s * (2 ** (attempt - 1)))
-            queue.append((pos, jb, attempt + 1))
-            return
-        self.last_report.failures += 1
-        self._log_job(
-            jb,
-            status="failed",
-            attempts=attempt,
-            timed_out=timed_out,
-            error=repr(exc),
-        )
-        raise ExecutionError(
-            f"job {jb!r} failed after {attempt} attempt(s): {exc!r}",
-            job=jb,
-            attempts=attempt,
-        ) from exc
+        if attempt > self.max_retries:
+            raise self._failure(jb, attempt, exc, timed_out=timed_out) from exc
+        self.last_report.retries += 1
+        time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+        queue.append((pos, jb, attempt + 1))
 
     def _degrade(self, queue: deque, finishers: dict) -> None:
-        """Pool irrecoverable: finish the remaining jobs in-process.
+        """Workers irrecoverable: finish the remaining jobs in-process.
 
-        Results completed by the pool before degradation are counted as
-        salvaged — they are already in the cache and are not recomputed.
+        Results completed by the workers before degradation are counted
+        as salvaged — they are already in the cache and are not
+        recomputed.
         """
         self.last_report.degraded = True
         self.last_report.salvaged = self._completed_count
@@ -1042,14 +891,13 @@ def make_executor(
     dispatch: Optional[str] = None,
     cost_model: Union[CostModel, str, os.PathLike, None] = None,
 ) -> Executor:
-    """``parallel <= 1`` gives the serial executor, else a process pool.
+    """``parallel <= 1`` gives the serial executor, else worker processes.
 
     Keyword arguments default from the environment (``REPRO_JOB_TIMEOUT``,
     ``REPRO_MAX_RETRIES``, ``REPRO_RUN_LOG``, ``REPRO_FAULT_SPEC``,
-    ``REPRO_DISPATCH``, ``REPRO_POOL_MODE``, ``REPRO_TRANSPORT``,
-    ``REPRO_COST_MODEL``) so the benchmark harness and CI smoke jobs can
-    configure fault tolerance, scheduling and telemetry without touching
-    call sites.
+    ``REPRO_DISPATCH``, ``REPRO_COST_MODEL``) so the benchmark harness and
+    CI smoke jobs can configure fault tolerance, scheduling and telemetry
+    without touching call sites.
     """
     kwargs = dict(
         job_timeout=job_timeout,

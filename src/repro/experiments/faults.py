@@ -13,7 +13,7 @@ the ``REPRO_FAULT_SPEC`` environment variable::
 
 ``action``
     * ``crash`` — hard-kill the worker process (``os._exit``), which the
-      parent observes as a ``BrokenProcessPool``;
+      parent observes as EOF on the worker's pipe;
     * ``error`` — raise :class:`InjectedFault` (an ordinary exception,
       exercising the plain retry path);
     * ``hang[=S]`` — sleep ``S`` seconds (default 30), exercising the
@@ -39,7 +39,7 @@ Examples::
     REPRO_FAULT_SPEC="hang=5:index=1"         # job 1 stalls 5s on attempt 1
     REPRO_FAULT_SPEC="crash:*:always"         # every worker dies: degrade path
 
-Faults are injected **only inside pool worker processes** (via the
+Faults are injected **only inside worker processes** (via the
 ``fault`` callable passed to :func:`repro.experiments.jobs.execute_job`);
 in-process execution — serial runs and the degraded fallback — never
 fires them, so a ``crash`` spec can never take down the parent process.

@@ -14,7 +14,7 @@ Record schema (``event="job"``, one per submitted job)::
      "attempts": 2,             # executions performed (0 for cached/dedup)
      "retried": true,           # attempts > 1
      "timed_out": false,        # a per-job timeout fired for this job
-     "degraded": false,         # computed in-process after pool degradation
+     "degraded": false,         # computed in-process after the workers degraded
      "worker_pid": 4242,        # pid that produced the payload (null if none)
      "wall_s": 1.234,           # wall-clock of the successful attempt
      "dispatch_order": 0,       # rank in the execution order (0 = first

@@ -1,18 +1,16 @@
 """Packed result transport: canonical-JSON payloads in binary frames.
 
-The parallel executor historically returned results by letting
-``ProcessPoolExecutor`` pickle the nested payload dict in the worker and
-re-building it object-by-object in the coordinator, which then
-*re-serialized* it to canonical JSON for the result cache.  The packed
-transport removes the double serialization: the worker encodes the
-payload **once**, to the exact canonical-JSON bytes the cache stores
-(``json.dumps(value, allow_nan=True, sort_keys=True)``), and ships them
-in a small length-prefixed binary frame (stdlib :mod:`struct`, no
-msgpack dependency).  The coordinator splices those bytes directly into
+Pickling a nested payload dict in a worker makes the coordinator rebuild
+it object by object and then *re-serialize* it to canonical JSON for the
+result cache.  The packed transport removes the double serialization:
+the worker encodes the payload **once**, to the exact canonical-JSON
+bytes the cache stores (``json.dumps(value, allow_nan=True,
+sort_keys=True)``), and ships them in a small length-prefixed binary
+frame (stdlib :mod:`struct`, no msgpack dependency) over its pipe.  The coordinator splices those bytes directly into
 the cache record (:meth:`~repro.experiments.cache.ResultCache.store_text`)
 and decodes the value with one ``json.loads`` — the same round-trip
-``store()`` performs, so results are byte-identical whichever transport
-carried them.
+``store()`` performs, so results are byte-identical to an in-process
+run.
 
 Frame layout (little-endian)::
 
@@ -27,9 +25,8 @@ Frame layout (little-endian)::
 A frame distinguishes "no trace" (flag clear) from "empty trace" (flag
 set, zero length), mirroring the ``{"__trace__": ..., "value": ...}``
 wrapper :func:`~repro.experiments.jobs.execute_job` returns for traced
-jobs.  :class:`PackedResult` is a ``bytes`` subclass so a frame survives
-the pool's pickling untouched and the coordinator can recognize packed
-payloads by type alone.
+jobs.  :class:`PackedResult` is a ``bytes`` subclass so the coordinator
+can tell a worker's frame from an in-process payload by type alone.
 """
 
 from __future__ import annotations
@@ -61,8 +58,7 @@ class TransportError(ValueError):
 class PackedResult(bytes):
     """One packed result frame, as produced by :func:`pack_result`.
 
-    Subclassing ``bytes`` keeps pickling trivial (the pool transfers the
-    raw buffer) while letting the coordinator distinguish a packed frame
+    Subclassing ``bytes`` lets the coordinator distinguish a packed frame
     from an ordinary payload by ``isinstance`` alone.
     """
 

@@ -10,7 +10,7 @@ This package is the measurement side of the fast-path overhaul:
 * :mod:`repro.perf.reference` — the frozen pre-overhaul kernel and
   forwarding stack every benchmark is measured against;
 * :mod:`repro.perf.sweep` — the cold-sweep throughput macrobenchmark
-  (serial vs old dispatch vs the LPT/warm-pool/packed scheduler);
+  (serial vs the parallel LPT scheduler);
 * :mod:`repro.perf.schema` — the deterministic ``BENCH_*.json`` shape;
 * :mod:`repro.perf.compare` — ``bench --compare`` regression deltas;
 * :mod:`repro.perf.profiling` — the ``repro profile`` cProfile wrapper.

@@ -2,29 +2,27 @@
 
 The kernel micro/macro benchmarks time simulation *inside* one process;
 this module times what a user actually waits for: a **cold sweep** —
-every figure, empty cache — under three executor configurations:
+every figure, empty cache — under two executor configurations:
 
 * ``serial`` — the :class:`~repro.experiments.executor.SerialExecutor`
   floor;
-* ``dispatch_old`` — ``--parallel N`` with the pre-overhaul dispatch:
-  FIFO order, cold per-map pools, pickled result transport, no inline
-  fast path;
-* ``dispatch_new`` — ``--parallel N`` with the throughput scheduler:
-  cost-model LPT order, warm fork-server pools, packed result
-  transport, inline fast path.
+* ``parallel`` — ``--parallel N``: cost-model LPT order, the inline fast
+  path, and persistent pipe workers returning packed result frames.
+
+The ``parallel`` entry carries the ``serial`` timing as its baseline, so
+its ``speedup`` is what ``--parallel N`` buys over a serial run.
 
 Two sweep sets are measured.  The **full** set (every registered figure,
 full mode only) is the honest end-to-end number: on a single-core
-runner its compute dominates and parallel dispatch can only approach
+runner its compute dominates and parallel execution can only approach
 serial, not beat it.  The **acceptance** set (:data:`ACCEPTANCE_FIGURES`
 — the closed-form analysis figures, whose jobs cost microseconds) is
-dispatch-overhead-dominated by construction: it isolates exactly the
-costs this scheduler removes (pool startup, per-job round-trips,
-re-serialization), and carries the committed ``>= 1.3x`` acceptance
-speedup of ``dispatch_new`` over ``dispatch_old``.
+dispatch-overhead-dominated by construction: the inline fast path runs
+it in the coordinator, so ``parallel`` must stay level with ``serial``
+there (a speedup near 1.0) rather than pay a worker round-trip per job.
 
 Every entry's ``meta.phases`` records where the best run's wall-clock
-went — pool startup, dispatch ordering, worker compute, result
+went — worker startup, dispatch ordering, worker compute, result
 transport, cache lookup/store, reduction — so a regression in any one
 stage is attributable from the BENCH document alone.  As a guard, the
 benchmark refuses to report timings at all if any configuration's
@@ -61,20 +59,10 @@ _PHASES = (
     "reduce_s",
 )
 
-#: (config label, executor traits).  ``dispatch_old`` reconstructs the
-#: pre-overhaul dispatch exactly: FIFO submission, pools built per map
-#: and torn down after, pickled payload transport, every job pooled.
+#: (config label, executor traits).
 _CONFIGS = (
     ("serial", None),
-    (
-        "dispatch_old",
-        dict(dispatch="fifo", pool_mode="cold", transport="pickle",
-             inline_threshold_s=0.0),
-    ),
-    (
-        "dispatch_new",
-        dict(dispatch="lpt", pool_mode="warm", transport="packed"),
-    ),
+    ("parallel", dict(dispatch="lpt")),
 )
 
 
@@ -146,10 +134,8 @@ def _measure(
             **({} if traits is None else traits),
         }
         entries.append(entry)
-    # The committed acceptance criterion rides on dispatch_new's entry:
-    # its baseline is the old dispatch under the *same* worker count.
-    new_entry = next(e for e in entries if e["name"].endswith("dispatch_new"))
-    attach_baseline(new_entry, timings["dispatch_old"])
+    parallel_entry = next(e for e in entries if e["name"].endswith("_parallel"))
+    attach_baseline(parallel_entry, timings["serial"])
     return entries, timings
 
 

@@ -113,7 +113,7 @@ class TestSchema:
 
     def test_sweep_kind_and_group_validate(self):
         sweep = entry(
-            "sweep_accept_dispatch_new",
+            "sweep_accept_parallel",
             group="sweep",
             unit="s/sweep",
             meta={"phases": {"startup_s": 0.1}, "parallel": 4},

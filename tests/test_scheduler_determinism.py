@@ -1,9 +1,9 @@
 """Dispatch order is a throughput knob, never a correctness knob.
 
-The scheduler overhaul (cost-model LPT dispatch, inline fast path, warm
-pools, packed transport) must be invisible in every output byte: these
-tests drive *arbitrary* dispatch permutations and every executor
-configuration through the pipeline and assert byte-identical reduced
+The scheduler (cost-model LPT dispatch, inline fast path, persistent
+pipe workers, packed result frames) must be invisible in every output
+byte: these tests drive *arbitrary* dispatch permutations and both
+dispatch orders through the pipeline and assert byte-identical reduced
 tables and identical on-disk cache contents.  The cache comparison is
 deliberately a whole-tree byte fingerprint — batched pack files are
 sorted on flush, so even *file* bytes must not depend on completion
@@ -64,12 +64,10 @@ class TestPermutationProperty:
         ],
     )
     def test_pooled_permutations_are_byte_identical(self, order, tmp_path):
-        # Same property through real worker pools: inline disabled so
-        # every job takes the pool round-trip in the permuted order.
+        # Same property through real worker processes: inline disabled so
+        # every job takes the worker round-trip in the permuted order.
         reference = _run_with_order(range(N_JOBS), tmp_path / "ref")
-        executor = ParallelExecutor(
-            workers=2, pool_mode="cold", inline_threshold_s=0.0
-        )
+        executor = ParallelExecutor(workers=2, inline_threshold_s=0.0)
         executor._dispatch_order = lambda jobs, predicted: list(order)
         try:
             cache = ResultCache(tmp_path / "pooled")
@@ -82,11 +80,7 @@ class TestPermutationProperty:
 
 class TestConfigurationMatrix:
     @pytest.mark.parametrize("dispatch", ["fifo", "lpt"])
-    @pytest.mark.parametrize("pool_mode", ["warm", "cold"])
-    @pytest.mark.parametrize("transport", ["packed", "pickle"])
-    def test_every_configuration_matches_serial(
-        self, tmp_path, dispatch, pool_mode, transport
-    ):
+    def test_every_configuration_matches_serial(self, tmp_path, dispatch):
         jobs = fig11.jobs("fast")
         serial_cache = ResultCache(tmp_path / "serial")
         serial = fig11.reduce(
@@ -95,9 +89,7 @@ class TestConfigurationMatrix:
         executor = ParallelExecutor(
             workers=2,
             dispatch=dispatch,
-            pool_mode=pool_mode,
-            transport=transport,
-            inline_threshold_s=0.0,  # force the pools: that's the point
+            inline_threshold_s=0.0,  # force the workers: that's the point
         )
         try:
             parallel_cache = ResultCache(tmp_path / "parallel")

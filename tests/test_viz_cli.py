@@ -116,3 +116,41 @@ class TestCli:
     def test_run_persists_output(self, tmp_path, capsys):
         assert main(["run", "fig11", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig11.txt").exists()
+
+
+class TestNoCacheDeduplication:
+    """``run --no-cache`` keeps results in memory for the invocation, so
+    Figure 5 reuses the Figure 4 sweep instead of recomputing it."""
+
+    @pytest.fixture
+    def small_sweep(self, monkeypatch):
+        import functools
+
+        import repro.cli as cli
+        from repro.experiments import fig04_stabilization_time as fig04
+        from repro.experiments import fig05_stabilization_cost as fig05
+
+        small = functools.partial(
+            fig04.jobs,
+            gammas=[2],
+            n_flows=2,
+            bandwidth_bps=1e6,
+            warmup_s=1.0,
+            cbr_stop=3.0,
+            cbr_restart=4.0,
+            end=6.0,
+        )
+        monkeypatch.setattr(fig04, "jobs", small)  # fig05.jobs relabels it
+        monkeypatch.setattr(cli, "ALL_FIGURES", {"fig04": fig04, "fig05": fig05})
+        monkeypatch.setattr(cli, "EXTENSIONS", {})
+        return len(small("fast"))
+
+    def test_fig05_after_fig04_computes_nothing(self, small_sweep, tmp_path, capsys):
+        assert main(["run", "all", "--no-cache", "--out", str(tmp_path / "all")]) == 0
+        out = capsys.readouterr().out
+        assert f"{small_sweep} jobs, 0 computed, {small_sweep} cache hits" in out
+        assert "cache=memory" in out
+        assert main(["run", "fig05", "--no-cache", "--out", str(tmp_path / "one")]) == 0
+        assert f"{small_sweep} computed, 0 cache hits" in capsys.readouterr().out
+        shared = (tmp_path / "all" / "fig05.txt").read_bytes()
+        assert shared == (tmp_path / "one" / "fig05.txt").read_bytes()
